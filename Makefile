@@ -59,7 +59,7 @@ bench-vector:
 	pytest benchmarks/test_bench_vector.py --benchmark-only
 
 # Propagation + Fig. 6 reliance sweep wall time across scenario scales
-# (small ~700 / mid ~2k / large ~10k ASes), engine/vector/shm/batch
+# (small ~700 / mid ~2k / large ~10k ASes), engine/vector/batch
 # stamped; per-stage wall time + tracemalloc/RSS peaks, and the large
 # profile's streamed-vs-eager sweeps (bit-identical, >=5x lower peak).
 # REPRO_FULL_PROFILE=1 appends a ~70k-AS generation+validation row.

@@ -21,12 +21,7 @@ from typing import Any, Optional
 
 import pytest
 
-from repro.bgpsim import (
-    resolve_batch,
-    resolve_engine,
-    resolve_shm,
-    resolve_vector,
-)
+from repro.bgpsim import resolve_batch, resolve_engine, resolve_vector
 from repro.experiments.context import cached_context
 from repro.netgen import companion_2015
 
@@ -45,7 +40,6 @@ def bench_metadata(
         "workers": workers,
         "batch": resolve_batch(batch),
         "vector": resolve_vector(),
-        "shm": resolve_shm(),
         "cpu_count": os.cpu_count() or 1,
     }
 

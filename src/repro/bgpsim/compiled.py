@@ -67,8 +67,8 @@ def _shrink(values, typecode: str) -> array:
 
 
 def _concrete_buffers(state: dict) -> dict:
-    """Replace ``memoryview`` values (zero-copy views of a shared-memory
-    arena, see :mod:`repro.bgpsim.shm`) with picklable owned copies."""
+    """Replace ``memoryview`` values (zero-copy views of an mmap shard,
+    see :mod:`repro.bgpsim.shards`) with picklable owned copies."""
     for key, value in state.items():
         if isinstance(value, memoryview):
             state[key] = (

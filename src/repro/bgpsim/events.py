@@ -364,7 +364,7 @@ def _capacity(typecode: str) -> int:
 
 def _owned(arr) -> array:
     """A mutable owned copy of ``arr`` (slice copy for arrays; a
-    ``memoryview`` of a shared-memory baseline must not be aliased)."""
+    ``memoryview`` of an mmap shard baseline must not be aliased)."""
     if isinstance(arr, array):
         return arr[:]
     return array(arr.format, arr)
@@ -374,9 +374,9 @@ def _widened(arr, needed_max: int, code_fn) -> array:
     """Copy ``arr``, widening its typecode only if ``needed_max`` won't
     fit — the common case is a same-typecode slice copy (a memcpy),
     keeping delta-state construction O(frontier) instead of O(n)
-    element-conversion work.  A ``memoryview`` (a zero-copy view of a
-    shared-memory baseline) must become an owned array either way: its
-    slice would alias the shared segment and the caller mutates the
+    element-conversion work.  A ``memoryview`` (a zero-copy view of an
+    mmap shard baseline) must become an owned array either way: its
+    slice would alias the read-only map and the caller mutates the
     result."""
     if not isinstance(arr, array):
         code = arr.format

@@ -28,7 +28,7 @@ only the region the leak actually disturbs:
    overrides plus the origin masks and answers every query by delegating
    to the untouched baseline arrays, so one baseline
    :class:`~repro.bgpsim.compiled.CompiledRoutingState` serves every
-   leaker in a sweep (and every pool worker it is shipped to).
+   leaker in a sweep.
 
 The pass is proven outcome- and state-equivalent to a full two-seed
 recompute by ``tests/test_incremental_engine.py``.  It applies when the

@@ -1,18 +1,18 @@
-"""Parallel per-origin route propagation.
+"""Process-parallel per-origin route propagation.
 
-Every headline analysis in the paper — hierarchy-free reachability (§6),
-reliance (§7), route-leak resilience (§8), and the traceroute campaigns
-(§4) — sweeps :func:`~repro.bgpsim.engine.propagate` over many origins on
-the *same* immutable :class:`~repro.topology.asgraph.ASGraph`.  The
-per-origin runs are independent, which makes the sweep embarrassingly
-parallel: this module fans the calls out across a
-:class:`concurrent.futures.ProcessPoolExecutor`.
+Precomputing a shard corpus (``repro precompute --workers N``,
+:func:`~repro.bgpsim.shards.precompute_shards`) propagates every origin
+of one immutable :class:`~repro.topology.asgraph.ASGraph`.  The
+per-origin runs are independent, so this module can fan them out across
+a :class:`concurrent.futures.ProcessPoolExecutor`.  The experiment
+sweeps run in-process: at the scales measured the pool ties or loses to
+the serial loop.
 
 Design rules (all load-bearing for determinism and throughput):
 
 * **The graph ships once per worker, not once per task.**  Workers receive
   the graph through a pool *initializer* and stash it in a module global;
-  each task then pickles only its item (an origin ASN, a seed, a leaker).
+  each task then pickles only its item (an origin ASN or a batch of them).
   Under the default ``fork`` start method the initializer argument is
   inherited copy-on-write, so even the one-time transfer is nearly free.
 * **The compiled form ships, not the adjacency dicts.**  When the sweep
@@ -43,7 +43,6 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Optional
 
 from ..topology.asgraph import ASGraph
-from . import shm
 from .engine import propagate, resolve_engine
 from .routes import RoutingState, Seed
 
@@ -84,13 +83,9 @@ def _init_worker(
     graph: ASGraph, func: Callable[..., Any], shared: dict[str, Any]
 ) -> None:
     global _WORKER_GRAPH, _WORKER_FUNC, _WORKER_SHARED
-    # shared-memory payloads arrive as tiny refs; attach and rebuild the
-    # real objects once per worker (plain payloads pass through)
-    _WORKER_GRAPH = shm.restore_payload(graph)
+    _WORKER_GRAPH = graph
     _WORKER_FUNC = func
-    _WORKER_SHARED = {
-        key: shm.restore_payload(value) for key, value in shared.items()
-    }
+    _WORKER_SHARED = shared
 
 
 def _run_task(item: Any) -> Any:
@@ -146,33 +141,13 @@ def graph_map(
         except ValueError:
             pass  # unknown engine string: let the task raise it
 
-    # Move the big constant arrays (the CSR graph, per-sweep baseline
-    # states) into shared-memory segments: the initializer then ships
-    # only tiny refs and every worker attaches the same pages instead of
-    # unpickling its own copy.  REPRO_SHM=off (or an unsupported
-    # platform) keeps the plain pickle path — still shipped once per
-    # worker via the initializer, never per batch.
-    arenas: list[shm.ShmArena] = []
-    if shm.resolve_shm():
-        payload = shm.share_payload(payload, arenas)
-        shared = {
-            key: shm.share_payload(value, arenas)
-            for key, value in shared.items()
-        }
-
     def _parallel() -> Iterator[Any]:
-        try:
-            with ProcessPoolExecutor(
-                max_workers=count,
-                initializer=_init_worker,
-                initargs=(payload, func, shared),
-            ) as pool:
-                yield from pool.map(
-                    _run_task, item_list, chunksize=chunksize
-                )
-        finally:
-            for arena in arenas:
-                arena.close()
+        with ProcessPoolExecutor(
+            max_workers=count,
+            initializer=_init_worker,
+            initargs=(payload, func, shared),
+        ) as pool:
+            yield from pool.map(_run_task, item_list, chunksize=chunksize)
 
     return _parallel()
 

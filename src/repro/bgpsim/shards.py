@@ -9,13 +9,11 @@ origins' state arrays with a fixed header and a per-origin offset index,
 so a :class:`ShardReader` can ``mmap`` the file once and materialize any
 origin's state **zero-copy** — the state's arrays are ``memoryview``
 slices aliased onto the map, exactly the buffer-protocol objects the
-pure loops index and the vectorized kernels ``np.frombuffer`` (the same
-trick :mod:`repro.bgpsim.shm` plays with worker payloads).  No route
+pure loops index and the vectorized kernels ``np.frombuffer``.  No route
 objects are unpickled; opening a state is a dict lookup plus six
 ``memoryview.cast`` calls.
 
-File layout (all integers little-endian, all payloads 8-byte aligned,
-matching the shared-memory arena packing):
+File layout (all integers little-endian, all payloads 8-byte aligned):
 
 .. code-block:: text
 
@@ -511,8 +509,8 @@ class ShardReader:
         """Release the map (idempotent).
 
         States handed out earlier keep the map alive through their
-        views; like the shared-memory arenas, a map pinned by live views
-        is simply left for process exit to reclaim.
+        views; a map pinned by live views is simply left for process
+        exit to reclaim.
         """
         buf = self.__dict__.pop("_buf", None)
         if buf is not None:
@@ -1357,7 +1355,6 @@ def precompute_shards(
     from .engine import resolve_engine
     from .multiorigin import resolve_batch
     from .parallel import propagate_origins, resolve_workers
-    from .shm import resolve_shm
     from .vectorized import resolve_vector
 
     cg: CompiledGraph = graph.compile()
@@ -1431,7 +1428,6 @@ def precompute_shards(
         "workers": resolve_workers(workers),
         "batch": resolve_batch(batch),
         "vector": resolve_vector(),
-        "shm": resolve_shm(),
         "shard_size": shard_size,
         "shards": shard_infos,
         **carried,
@@ -1725,7 +1721,6 @@ def precompute_metric_shards(
     if not manifest:
         from .engine import resolve_engine
         from .multiorigin import resolve_batch
-        from .shm import resolve_shm
         from .vectorized import resolve_vector
 
         manifest = {
@@ -1738,7 +1733,6 @@ def precompute_metric_shards(
             "workers": 1,
             "batch": resolve_batch(batch),
             "vector": resolve_vector(),
-            "shm": resolve_shm(),
             "shard_size": shard_size,
             "shards": [],
         }

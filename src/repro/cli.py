@@ -127,7 +127,7 @@ def cmd_leak(args: argparse.Namespace) -> int:
     for configuration in configurations:
         curve = resilience_curve(
             graph, args.origin, tiers, configuration, leakers,
-            workers=args.workers, engine=args.engine,
+            engine=args.engine,
         )
         print(f"  {configuration:28s} {cdf_summary(curve)}")
     return 0
@@ -475,7 +475,6 @@ def cmd_timeline(args: argparse.Namespace) -> int:
         origins=[args.origin],
         targets=targets,
         engine=args.engine,
-        workers=args.workers,
         batch=args.batch,
         threshold=args.threshold,
         shards=shards,
@@ -516,18 +515,34 @@ def cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
-    from .experiments.runner import main as runner_main
+    import time
 
-    argv = [args.profile]
-    if args.workers is not None:
-        argv += ["--workers", str(args.workers)]
+    from .experiments.context import build_context
+    from .experiments.runner import render_all, run_all
+    from .netgen import companion_2015
+
+    # Exported rather than threaded through run_all: every propagate()
+    # call and every call-time batch resolver (cache prefetches) reads
+    # the environment, so one variable switches the whole run.
     if args.engine is not None:
-        argv += ["--engine", args.engine]
+        os.environ["REPRO_ENGINE"] = args.engine
     if args.batch is not None:
-        argv += ["--batch", str(args.batch)]
-    if args.stream is not None:
-        argv += ["--stream", args.stream]
-    return runner_main(argv)
+        os.environ["REPRO_BATCH"] = str(args.batch)
+    profile_2015 = companion_2015(args.profile)
+    started = time.time()
+    print(f"building {args.profile} (2020-like) context...", flush=True)
+    ctx_2020 = build_context(args.profile)
+    print(f"building {profile_2015} context...", flush=True)
+    ctx_2015 = build_context(profile_2015)
+    results = run_all(ctx_2020, ctx_2015, batch=args.batch, stream=args.stream)
+    print(render_all(results))
+    if args.csv:
+        from .experiments.export import export_results
+
+        written = export_results(results, args.csv)
+        print(f"\nwrote {len(written)} CSV files to {args.csv}")
+    print(f"\ntotal wall time: {time.time() - started:.1f}s")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -545,13 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="numpy vectorized kernels (default: $REPRO_VECTOR or auto; "
         "'auto' uses numpy when installed, 'on' requires it, 'off' "
         "forces the pure-Python loops)",
-    )
-    parser.add_argument(
-        "--shm",
-        choices=("auto", "on", "off"),
-        default=None,
-        help="shared-memory payload transport for parallel sweeps "
-        "(default: $REPRO_SHM or auto)",
     )
     parser.add_argument(
         "--stream",
@@ -607,12 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     leak.add_argument(
-        "--workers",
-        type=_parse_workers,
-        default=None,
-        help="propagation worker processes (int, or 'auto' for all CPUs)",
-    )
-    leak.add_argument(
         "--engine",
         choices=("compiled", "reference", "incremental"),
         default=None,
@@ -649,12 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
     timeline.add_argument(
         "--targets",
         help="comma-separated ASNs to report reliance/hegemony toward",
-    )
-    timeline.add_argument(
-        "--workers",
-        type=_parse_workers,
-        default=None,
-        help="propagation worker processes (int, or 'auto' for all CPUs)",
     )
     timeline.add_argument(
         "--engine",
@@ -825,10 +821,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiments.add_argument("profile", nargs="?", default="small")
     experiments.add_argument(
-        "--workers",
-        type=_parse_workers,
-        default=None,
-        help="propagation worker processes (int, or 'auto' for all CPUs)",
+        "--csv",
+        metavar="DIR",
+        help="also export every table and figure as CSV files into DIR",
     )
     experiments.add_argument(
         "--engine",
@@ -856,11 +851,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # flags translate to the knobs once, before the subcommand runs
     if args.vector is not None:
         os.environ["REPRO_VECTOR"] = args.vector
-    if args.shm is not None:
-        os.environ["REPRO_SHM"] = args.shm
     if args.stream is not None:
         os.environ["REPRO_STREAM"] = args.stream
-    return args.func(args)
+    try:
+        status = args.func(args)
+        # flush inside the try so a reader that went away (``repro
+        # experiments | head -1``) surfaces here, not at interpreter exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again on exit; point it at devnull so that
+        # flush cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

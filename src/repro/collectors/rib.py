@@ -65,7 +65,6 @@ def collect_ribs(
     origins: Optional[Sequence[int]] = None,
     rng: Optional[random.Random] = None,
     cache: Optional[RoutingStateCache] = None,
-    workers: int | str | None = None,
     engine: Optional[str] = None,
     batch: Optional[int] = None,
 ) -> CollectorDump:
@@ -73,11 +72,11 @@ def collect_ribs(
 
     Ties are broken by a deterministic walk over the best-path DAG (the
     supplied ``rng`` picks among tied parents), mirroring the fact that a
-    real monitor exports exactly one best path.  ``workers`` parallelizes
-    and ``batch`` bit-parallelizes the per-origin propagations (one sweep
-    per batch of origins); the tie-breaking walk stays serial and uses the
-    per-AS route accessor, so the RNG stream (and the dump) is identical
-    for any worker count, batch width, or engine.
+    real monitor exports exactly one best path.  ``batch``
+    bit-parallelizes the per-origin propagations (one sweep per batch of
+    origins); the tie-breaking walk uses the per-AS route accessor, so
+    the RNG stream (and the dump) is identical for any batch width or
+    engine.
     """
     rng = rng or random.Random(0)
     if cache is None:
@@ -88,7 +87,6 @@ def collect_ribs(
     dump = CollectorDump()
     for origin, state in cache.states_for_many(
         (origin for origin in origins if origin in prefixes),
-        workers=workers,
         batch=batch,
     ):
         for monitor in monitors:

@@ -37,7 +37,6 @@ from ..bgpsim.metrics_kernel import (
     cross_fractions_many_kernel,
     is_array_state,
 )
-from ..bgpsim.parallel import graph_map
 from ..bgpsim.routes import RoutingState, Seed
 from ..topology.asgraph import ASGraph
 from .reliance import path_counts
@@ -179,39 +178,6 @@ def local_hegemony(
     return _hegemony_of_state(state, origin, target, trim, counts=counts)
 
 
-def _hegemony_task(
-    graph: ASGraph,
-    origin: int,
-    targets: tuple[int, ...] = (),
-    trim: float = TRIM,
-    engine: Optional[str] = None,
-) -> array:
-    """One origin's local hegemony toward every target, as a compact
-    float array (NaN where target == origin)."""
-    state = propagate(graph, Seed(asn=origin), engine=engine)
-    return _hegemony_values(state, origin, targets, trim)
-
-
-def _hegemony_batch_task(
-    graph: ASGraph,
-    origins: tuple[int, ...],
-    targets: tuple[int, ...] = (),
-    trim: float = TRIM,
-    engine: Optional[str] = None,
-) -> list[array]:
-    """:func:`_hegemony_task` rows for a whole batch of origins, served
-    by one bit-parallel sweep (the per-origin views feed the same metric
-    kernels, so every float is bit-identical to the per-origin path)."""
-    from ..bgpsim.multiorigin import propagate_batch
-
-    del engine  # the batch kernel is the compiled engine
-    batch_state = propagate_batch(graph, origins)
-    return [
-        _hegemony_values(state, origin, targets, trim)
-        for origin, state in batch_state.views()
-    ]
-
-
 def global_hegemony(
     graph: ASGraph,
     targets: Collection[int],
@@ -219,7 +185,6 @@ def global_hegemony(
     sample: int = 50,
     rng: Optional[random.Random] = None,
     trim: float = TRIM,
-    workers: int | str | None = None,
     cache_size: Optional[int] = None,
     engine: Optional[str] = None,
     batch: Optional[int] = None,
@@ -229,12 +194,12 @@ def global_hegemony(
     """``H(target)`` for each target, averaged over sampled origins.
 
     Each origin is propagated once and evaluated against every target in
-    one pass (the tied-best-path counts are shared across targets);
-    ``workers`` fans the origins out across a process pool, and each
-    worker returns one compact float array per origin rather than a
-    per-AS dict.  ``batch`` groups origins into bit-parallel multi-origin
-    sweeps (one propagation per batch; identical floats); it defaults
-    through ``REPRO_BATCH`` and is ignored on the reference engine.
+    one pass (the tied-best-path counts are shared across targets) into
+    one compact float row per origin rather than a per-AS dict.
+    ``batch`` groups origins into bit-parallel multi-origin sweeps (one
+    propagation per batch; the views feed the same metric kernels, so
+    the floats are identical); it defaults through ``REPRO_BATCH`` and
+    is ignored on the reference engine.
     ``cache_size`` is kept for API compatibility — the sweep streams one
     state at a time and retains none.
 
@@ -258,7 +223,7 @@ def global_hegemony(
     try:
         resolved = resolve_engine(engine)
     except ValueError:
-        resolved = "reference"  # unknown engine: let the task raise
+        resolved = "reference"  # unknown engine: let propagate() raise
     width = resolve_batch(batch)
     if (
         resolve_stream(stream, len(graph))
@@ -268,7 +233,7 @@ def global_hegemony(
         if cache is None:
             cache = RoutingStateCache(graph, engine=engine, batch=batch)
         states = cache.states_for_many(
-            list(origins), workers=workers, batch=batch, stream=True
+            list(origins), batch=batch, stream=True
         )
 
         def _stream_rows() -> Iterable[array]:
@@ -280,30 +245,25 @@ def global_hegemony(
 
         rows: Iterable[array] = _stream_rows()
     elif width > 1 and resolved in ("compiled", "incremental") and origins:
+        from ..bgpsim.multiorigin import propagate_batch
+
         origin_list = list(origins)
-        chunks = [
-            tuple(origin_list[i : i + width])
+        rows = (
+            _hegemony_values(state, origin, targets, trim)
             for i in range(0, len(origin_list), width)
-        ]
-        row_lists = graph_map(
-            graph,
-            _hegemony_batch_task,
-            chunks,
-            workers=workers,
-            targets=targets,
-            trim=trim,
-            engine=engine,
+            for origin, state in propagate_batch(
+                graph, tuple(origin_list[i : i + width])
+            ).views()
         )
-        rows: Iterable[array] = (row for rows_ in row_lists for row in rows_)
     else:
-        rows = graph_map(
-            graph,
-            _hegemony_task,
-            list(origins),
-            workers=workers,
-            targets=targets,
-            trim=trim,
-            engine=engine,
+        rows = (
+            _hegemony_values(
+                propagate(graph, Seed(asn=origin), engine=engine),
+                origin,
+                targets,
+                trim,
+            )
+            for origin in origins
         )
     sums = [0.0] * len(targets)
     counts_per_target = [0] * len(targets)

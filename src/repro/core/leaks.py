@@ -22,7 +22,6 @@ from ..bgpsim.cache import RoutingStateCache
 from ..bgpsim.compiled import CompiledRoutingState
 from ..bgpsim.engine import propagate, resolve_engine, resolve_stream
 from ..bgpsim.incremental import propagate_delta
-from ..bgpsim.parallel import graph_map
 from ..bgpsim.policies import LeakMode, hierarchy_only_seed, peer_lock_set
 from ..bgpsim.routes import RoutingState, Seed
 from ..topology.asgraph import ASGraph
@@ -159,21 +158,6 @@ def simulate_leak(
     )
 
 
-def _leak_task(
-    graph: ASGraph,
-    leaker: int,
-    origin: int | Seed = 0,
-    peer_locked: Collection[int] = frozenset(),
-    mode: LeakMode = LeakMode.REANNOUNCE,
-    semantics: PeerLockSemantics = PeerLockSemantics.ERRATUM,
-    engine: Optional[str] = None,
-) -> Optional[LeakOutcome]:
-    return simulate_leak(
-        graph, origin, leaker, peer_locked=peer_locked, mode=mode,
-        semantics=semantics, engine=engine,
-    )
-
-
 def _delta_outcome(
     graph: ASGraph,
     baseline: RoutingState,
@@ -210,15 +194,15 @@ def _delta_outcome(
     )
 
 
-def _incremental_leak_task(
+def _incremental_leak(
     graph: ASGraph,
+    baseline: RoutingState,
+    legit: Seed,
     leaker: int,
-    baseline: Optional[RoutingState] = None,
-    origin: int | Seed = 0,
-    peer_locked: Collection[int] = frozenset(),
-    mode: LeakMode = LeakMode.REANNOUNCE,
-    semantics: PeerLockSemantics = PeerLockSemantics.ERRATUM,
-    engine: Optional[str] = None,
+    peer_locked: frozenset[int],
+    mode: LeakMode,
+    semantics: PeerLockSemantics,
+    engine: Optional[str],
 ) -> Optional[LeakOutcome]:
     """One leaker against a shared precomputed baseline.
 
@@ -227,11 +211,9 @@ def _incremental_leak_task(
     two-propagation :func:`simulate_leak`, so the sweep's results never
     depend on which path each leaker took.
     """
-    legit = origin if isinstance(origin, Seed) else Seed(asn=origin, key="origin")
     if leaker == legit.asn or leaker not in graph:
         raise ValueError(f"invalid leaker AS{leaker}")
-    peer_locked = frozenset(peer_locked)
-    if baseline is not None and leaker not in peer_locked:
+    if leaker not in peer_locked:
         try:
             return _delta_outcome(
                 graph, baseline, legit, leaker, peer_locked, mode
@@ -251,25 +233,21 @@ def simulate_leaks(
     peer_locked: Collection[int] = frozenset(),
     mode: LeakMode = LeakMode.REANNOUNCE,
     semantics: PeerLockSemantics = PeerLockSemantics.ERRATUM,
-    workers: int | str | None = None,
     engine: Optional[str] = None,
     cache: Optional[RoutingStateCache] = None,
 ) -> list[Optional[LeakOutcome]]:
-    """:func:`simulate_leak` for every leaker, optionally across processes.
+    """:func:`simulate_leak` for every leaker.
 
     Returns one entry per leaker, in order (``None`` where the leaker holds
-    no route).  The fixed arguments ship to each worker once; with
-    ``workers=None`` the simulations run serially in-process, producing the
-    same list.
+    no route).
 
     With ``engine="incremental"`` the whole sweep shares one baseline
     propagation for its ``(origin, locks, mode, semantics)`` group — taken
     from ``cache`` when given, computed once otherwise — and each leaker
     runs only the frontier-limited delta pass of
-    :func:`repro.bgpsim.incremental.propagate_delta`; the baseline's
-    compact arrays ship to each pool worker once, next to the CSR graph.
-    Subprefix leaks, the pre-erratum ``ORIGINAL`` semantics and
-    peer-locked leakers fall back to the full recompute transparently.
+    :func:`repro.bgpsim.incremental.propagate_delta`.  Subprefix leaks,
+    the pre-erratum ``ORIGINAL`` semantics and peer-locked leakers fall
+    back to the full recompute transparently.
     """
     legit = origin if isinstance(origin, Seed) else Seed(asn=origin, key="origin")
     peer_locked = frozenset(peer_locked)
@@ -289,55 +267,31 @@ def simulate_leaks(
                 graph, legit, peer_locked=locks,
                 locked_origin=legit.asn, engine=engine,
             )
-        return list(
-            graph_map(
-                graph,
-                _incremental_leak_task,
-                leakers,
-                workers=workers,
-                baseline=baseline,
-                origin=legit,
-                peer_locked=peer_locked,
-                mode=mode,
-                semantics=semantics,
-                engine=engine,
+        return [
+            _incremental_leak(
+                graph, baseline, legit, leaker, peer_locked, mode,
+                semantics, engine,
             )
+            for leaker in leakers
+        ]
+    return [
+        simulate_leak(
+            graph, legit, leaker, peer_locked=peer_locked, mode=mode,
+            semantics=semantics, engine=engine,
         )
-    return list(
-        graph_map(
-            graph,
-            _leak_task,
-            leakers,
-            workers=workers,
-            origin=legit,
-            peer_locked=peer_locked,
-            mode=mode,
-            semantics=semantics,
-            engine=engine,
-        )
-    )
+        for leaker in leakers
+    ]
 
 
-def _pair_leak_task(
+def _pair_delta_leak(
     graph: ASGraph,
-    pair: tuple[int, int],
-    mode: LeakMode = LeakMode.REANNOUNCE,
-    engine: Optional[str] = None,
+    baseline: Optional[RoutingState],
+    origin: int,
+    leaker: int,
+    mode: LeakMode,
+    engine: Optional[str],
 ) -> Optional[LeakOutcome]:
-    origin, leaker = pair
-    return simulate_leak(graph, origin, leaker, mode=mode, engine=engine)
-
-
-def _pair_delta_task(
-    graph: ASGraph,
-    pair: tuple[int, int],
-    baselines: Optional[Mapping[int, RoutingState]] = None,
-    mode: LeakMode = LeakMode.REANNOUNCE,
-    engine: Optional[str] = None,
-) -> Optional[LeakOutcome]:
-    """One (origin, leaker) pair against a shared per-origin baseline map."""
-    origin, leaker = pair
-    baseline = (baselines or {}).get(origin)
+    """One (origin, leaker) pair against the origin's precomputed baseline."""
     if isinstance(baseline, CompiledRoutingState):
         legit = Seed(asn=origin, key="origin")
         try:
@@ -393,7 +347,6 @@ def resilience_curve(
     leakers: Sequence[int],
     mode: LeakMode = LeakMode.REANNOUNCE,
     semantics: PeerLockSemantics = PeerLockSemantics.ERRATUM,
-    workers: int | str | None = None,
     engine: Optional[str] = None,
     cache: Optional[RoutingStateCache] = None,
 ) -> list[float]:
@@ -413,7 +366,6 @@ def resilience_curve(
         peer_locked=locks,
         mode=mode,
         semantics=semantics,
-        workers=workers,
         engine=engine,
         cache=cache,
     )
@@ -430,7 +382,6 @@ def average_resilience_curve(
     origins: int = 50,
     leakers_per_origin: int = 50,
     mode: LeakMode = LeakMode.REANNOUNCE,
-    workers: int | str | None = None,
     engine: Optional[str] = None,
     cache: Optional[RoutingStateCache] = None,
     batch: Optional[int] = None,
@@ -441,15 +392,14 @@ def average_resilience_curve(
 
     The (origin, leaker) pairs are drawn up front — in exactly the order the
     historical serial loop drew them, so the RNG stream is unchanged — and
-    then simulated, optionally in parallel.
+    then simulated.
 
     With ``engine="incremental"`` each distinct origin's baseline is
-    propagated exactly once (in parallel and — per ``batch`` — in
-    bit-parallel multi-origin sweeps, through a
-    :class:`~repro.bgpsim.cache.RoutingStateCache` prefetch) and the
-    per-origin baseline map ships to the pool workers alongside the CSR
-    graph, so the historical ``origins × leakers`` full propagations
-    collapse to ``origins`` baselines plus one delta pass per pair.
+    propagated exactly once (per ``batch`` in bit-parallel multi-origin
+    sweeps, through a :class:`~repro.bgpsim.cache.RoutingStateCache`
+    prefetch) and every pair runs against its origin's baseline, so the
+    historical ``origins × leakers`` full propagations collapse to
+    ``origins`` baselines plus one delta pass per pair.
 
     ``stream`` (``REPRO_STREAM``; auto-on at paper scale) bounds the
     baseline footprint: instead of prefetching and holding *every*
@@ -485,19 +435,16 @@ def average_resilience_curve(
             for i in range(0, len(unique_origins), width):
                 window = unique_origins[i : i + width]
                 baselines = dict(
-                    cache.states_for_many(
-                        window, workers=workers, batch=batch, stream=True
-                    )
+                    cache.states_for_many(window, batch=batch, stream=True)
                 )
-                window_pairs = [
-                    pair for origin in window for pair in by_origin[origin]
-                ]
-                for outcome in graph_map(
-                    graph, _pair_delta_task, window_pairs, workers=workers,
-                    baselines=baselines, mode=mode, engine=engine,
-                ):
-                    if outcome is not None:
-                        fractions.append(outcome.fraction_detoured)
+                for origin in window:
+                    for _, leaker in by_origin[origin]:
+                        outcome = _pair_delta_leak(
+                            graph, baselines.get(origin), origin, leaker,
+                            mode, engine,
+                        )
+                        if outcome is not None:
+                            fractions.append(outcome.fraction_detoured)
                 # drop this window's baselines before the next window
                 baselines.clear()
             return sorted(fractions)
@@ -505,18 +452,20 @@ def average_resilience_curve(
             cache.maxsize is not None and cache.maxsize < len(unique_origins)
         ):
             cache = RoutingStateCache(graph, engine=engine)
-        cache.prefetch(unique_origins, workers=workers, batch=batch)
+        cache.prefetch(unique_origins, batch=batch)
         baselines = {
             origin: cache.state_for(origin) for origin in unique_origins
         }
-        outcomes = graph_map(
-            graph, _pair_delta_task, pairs, workers=workers,
-            baselines=baselines, mode=mode, engine=engine,
+        outcomes = (
+            _pair_delta_leak(
+                graph, baselines.get(origin), origin, leaker, mode, engine
+            )
+            for origin, leaker in pairs
         )
     else:
-        outcomes = graph_map(
-            graph, _pair_leak_task, pairs, workers=workers, mode=mode,
-            engine=engine,
+        outcomes = (
+            simulate_leak(graph, origin, leaker, mode=mode, engine=engine)
+            for origin, leaker in pairs
         )
     return sorted(
         outcome.fraction_detoured
@@ -533,7 +482,6 @@ def lock_coverage_sweep(
     rng: Optional[random.Random] = None,
     mode: LeakMode = LeakMode.REANNOUNCE,
     engine: Optional[str] = None,
-    workers: int | str | None = None,
     cache: Optional[RoutingStateCache] = None,
 ) -> dict[float, float]:
     """Mean detoured fraction vs. peer-lock deployment coverage.
@@ -543,9 +491,9 @@ def lock_coverage_sweep(
     neighbors deploys peer locking (biggest neighbors first would be the
     T1/T2 scenarios; random deployment is the pessimistic counterpart),
     and the same leakers are replayed.  Each coverage level is one
-    :func:`simulate_leaks` sweep, so the ``workers``, ``engine`` and
-    ``cache`` knobs (shared baseline per lock set under
-    ``engine="incremental"``) all apply.
+    :func:`simulate_leaks` sweep, so the ``engine`` and ``cache`` knobs
+    (shared baseline per lock set under ``engine="incremental"``) both
+    apply.
     """
     rng = rng or random.Random(0)
     neighbors = sorted(graph.neighbors(origin))
@@ -556,7 +504,7 @@ def lock_coverage_sweep(
         locked = frozenset(rng.sample(neighbors, k=count)) if count else frozenset()
         outcomes = simulate_leaks(
             graph, origin, eligible, peer_locked=locked, mode=mode,
-            workers=workers, engine=engine, cache=cache,
+            engine=engine, cache=cache,
         )
         fractions = [
             outcome.fraction_detoured

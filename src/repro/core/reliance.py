@@ -29,7 +29,6 @@ from ..bgpsim.metrics_kernel import (
     reliance_kernel,
     reliance_mass_kernel,
 )
-from ..bgpsim.parallel import graph_map
 from ..bgpsim.routes import RoutingState, Seed
 from ..topology.asgraph import ASGraph
 from ..topology.tiers import TierAssignment
@@ -138,38 +137,17 @@ def reliance(
     return reliance_from_state(state, exact=exact)
 
 
-def _reliance_task(
-    graph: ASGraph,
-    item: tuple[int, frozenset[int]],
-    exact: bool = False,
-    engine: Optional[str] = None,
-) -> dict[int, float]:
-    origin, excluded = item
-    return reliance(graph, origin, excluded, exact=exact, engine=engine)
-
-
 def reliance_sweep(
     graph: ASGraph,
     origin_excluded: Iterable[tuple[int, Collection[int]]],
     exact: bool = False,
-    workers: int | str | None = None,
     engine: Optional[str] = None,
 ) -> list[dict[int, float]]:
-    """:func:`reliance` for many (origin, excluded) pairs, in input order.
-
-    The propagation per origin is the dominant cost; with ``workers`` the
-    pairs fan out across a process pool (the graph ships once per worker).
-    ``workers=None`` runs the identical computations serially.
-    """
-    items = [
-        (origin, frozenset(excluded)) for origin, excluded in origin_excluded
+    """:func:`reliance` for many (origin, excluded) pairs, in input order."""
+    return [
+        reliance(graph, origin, frozenset(excluded), exact=exact, engine=engine)
+        for origin, excluded in origin_excluded
     ]
-    return list(
-        graph_map(
-            graph, _reliance_task, items, workers=workers, exact=exact,
-            engine=engine,
-        )
-    )
 
 
 def hierarchy_free_reliance_sweep(
@@ -177,7 +155,6 @@ def hierarchy_free_reliance_sweep(
     origins: Iterable[int],
     tiers: TierAssignment,
     exact: bool = False,
-    workers: int | str | None = None,
     engine: Optional[str] = None,
 ) -> list[dict[int, float]]:
     """:func:`hierarchy_free_reliance` for many origins (Fig. 6's sweep)."""
@@ -188,7 +165,6 @@ def hierarchy_free_reliance_sweep(
             for origin in origins
         ),
         exact=exact,
-        workers=workers,
         engine=engine,
     )
 
@@ -241,9 +217,9 @@ class RelianceSummary:
     """Everything Fig. 6 / Table 2 keep from one origin's reliance values.
 
     A full reliance dict holds one float per relied-on AS; the figures
-    only aggregate it (counts, a histogram, the top rows).  Sweep workers
-    return this compact record instead, so a parallel sweep ships a few
-    dozen numbers per origin rather than a per-AS dict.
+    only aggregate it (counts, a histogram, the top rows), so a sweep
+    keeps this compact record — a few dozen numbers per origin — rather
+    than a per-AS dict.
     """
 
     networks: int  #: number of ASes with nonzero reliance
@@ -330,48 +306,11 @@ def summarize_reliance_from_state(
     )
 
 
-def _reliance_summary_task(
-    graph: ASGraph,
-    item: tuple[int, frozenset[int]],
-    bin_width: int = 25,
-    top_n: int = 3,
-    engine: Optional[str] = None,
-) -> RelianceSummary:
-    origin, excluded = item
-    state = propagate(
-        graph, Seed(asn=origin, key="origin"), excluded=excluded, engine=engine
-    )
-    return summarize_reliance_from_state(state, bin_width=bin_width, top_n=top_n)
-
-
-def _reliance_summary_batch_task(
-    graph: ASGraph,
-    item: tuple[tuple[int, ...], frozenset[int]],
-    bin_width: int = 25,
-    top_n: int = 3,
-    engine: Optional[str] = None,
-) -> list[RelianceSummary]:
-    """Summaries for a batch of origins sharing one excluded set, served
-    by one bit-parallel sweep (the views feed the same fused kernel
-    aggregation, so every float is bit-identical to the per-origin path).
-    """
-    from ..bgpsim.multiorigin import propagate_batch
-
-    del engine  # the batch kernel is the compiled engine
-    origins, excluded = item
-    batch_state = propagate_batch(graph, origins, excluded=excluded)
-    return [
-        summarize_reliance_from_state(view, bin_width=bin_width, top_n=top_n)
-        for _, view in batch_state.views()
-    ]
-
-
 def reliance_summary_sweep(
     graph: ASGraph,
     origin_excluded: Iterable[tuple[int, Collection[int]]],
     bin_width: int = 25,
     top_n: int = 3,
-    workers: int | str | None = None,
     engine: Optional[str] = None,
     batch: Optional[int] = None,
     stream: bool | str | None = None,
@@ -379,9 +318,9 @@ def reliance_summary_sweep(
 ) -> list[RelianceSummary]:
     """:class:`RelianceSummary` per (origin, excluded) pair, in input order.
 
-    Like :func:`reliance_sweep` but each worker aggregates before
-    returning, which keeps the per-item payload O(histogram) instead of
-    O(ASes) — the shape Fig. 6 / Table 2 actually consume.
+    Like :func:`reliance_sweep` but each origin is aggregated as soon as
+    it is propagated, which keeps the per-item result O(histogram)
+    instead of O(ASes) — the shape Fig. 6 / Table 2 actually consume.
 
     ``batch`` routes the sweep through the bit-parallel multi-origin
     kernel: pairs sharing an excluded set are grouped (the kernel needs
@@ -410,7 +349,7 @@ def reliance_summary_sweep(
     try:
         resolved = resolve_engine(engine)
     except ValueError:
-        resolved = "reference"  # unknown engine: let the task raise
+        resolved = "reference"  # unknown engine: let propagate() raise
     width = resolve_batch(batch)
     if (
         resolve_stream(stream, len(graph))
@@ -428,7 +367,6 @@ def reliance_summary_sweep(
         for excluded, positions in groups.items():
             states = cache.states_for_many(
                 (items[p][0] for p in positions),
-                workers=workers,
                 batch=batch,
                 stream=True,
                 excluded=excluded,
@@ -442,43 +380,41 @@ def reliance_summary_sweep(
                 del state
         return results
     if width > 1 and resolved in ("compiled", "incremental") and items:
+        # one bit-parallel sweep per chunk of origins sharing an excluded
+        # set; the views feed the same fused kernel aggregation, so every
+        # float is bit-identical to the per-origin path
+        from ..bgpsim.multiorigin import propagate_batch
+
         groups: dict[frozenset[int], list[int]] = {}
         for position, (_, excluded) in enumerate(items):
             groups.setdefault(excluded, []).append(position)
-        tasks: list[tuple[tuple[int, ...], frozenset[int]]] = []
-        task_positions: list[list[int]] = []
+        results: list[Optional[RelianceSummary]] = [None] * len(items)
         for excluded, positions in groups.items():
             for i in range(0, len(positions), width):
                 chunk = positions[i : i + width]
-                tasks.append(
-                    (tuple(items[p][0] for p in chunk), excluded)
+                batch_state = propagate_batch(
+                    graph,
+                    tuple(items[p][0] for p in chunk),
+                    excluded=excluded,
                 )
-                task_positions.append(chunk)
-        results: list[Optional[RelianceSummary]] = [None] * len(items)
-        summaries_per_task = graph_map(
-            graph,
-            _reliance_summary_batch_task,
-            tasks,
-            workers=workers,
-            bin_width=bin_width,
-            top_n=top_n,
-            engine=engine,
-        )
-        for positions, summaries in zip(task_positions, summaries_per_task):
-            for position, summary in zip(positions, summaries):
-                results[position] = summary
+                for position, (_, view) in zip(chunk, batch_state.views()):
+                    results[position] = summarize_reliance_from_state(
+                        view, bin_width=bin_width, top_n=top_n
+                    )
         return results
-    return list(
-        graph_map(
-            graph,
-            _reliance_summary_task,
-            items,
-            workers=workers,
+    return [
+        summarize_reliance_from_state(
+            propagate(
+                graph,
+                Seed(asn=origin, key="origin"),
+                excluded=excluded,
+                engine=engine,
+            ),
             bin_width=bin_width,
             top_n=top_n,
-            engine=engine,
         )
-    )
+        for origin, excluded in items
+    ]
 
 
 def hierarchy_free_reliance_summaries(
@@ -487,7 +423,6 @@ def hierarchy_free_reliance_summaries(
     tiers: TierAssignment,
     bin_width: int = 25,
     top_n: int = 3,
-    workers: int | str | None = None,
     engine: Optional[str] = None,
     batch: Optional[int] = None,
     stream: bool | str | None = None,
@@ -502,7 +437,6 @@ def hierarchy_free_reliance_summaries(
         ),
         bin_width=bin_width,
         top_n=top_n,
-        workers=workers,
         engine=engine,
         batch=batch,
         stream=stream,

@@ -48,7 +48,6 @@ class Fig13Result:
 def run(
     ctx_2020: ExperimentContext,
     ctx_2015: ExperimentContext,
-    workers: int | str | None = None,
     engine: str | None = None,
     batch: int | None = None,
     stream: bool | str | None = None,
@@ -65,7 +64,6 @@ def run(
             ctx.graph,
             [asn for _, asn in clouds],
             ctx.scenario.users,
-            workers=workers,
             engine=engine,
             batch=batch,
             stream=stream,

@@ -19,9 +19,9 @@ from .report import format_table
 class CloudReliance:
     """One cloud's aggregated reliance record (a named summary).
 
-    Sweep workers return the compact :class:`RelianceSummary` — the
-    per-AS reliance dict never leaves the worker, since the figure and
-    table only aggregate it.
+    The sweep keeps only the compact :class:`RelianceSummary` — the
+    figure and table only aggregate the per-AS reliance values, so they
+    are folded into it as soon as they are computed.
     """
 
     name: str
@@ -88,7 +88,6 @@ class Fig6Table2Result:
 def run(
     ctx: ExperimentContext,
     bin_width: int = 25,
-    workers: int | str | None = None,
     engine: str | None = None,
     batch: int | None = None,
     stream: bool | str | None = None,
@@ -100,7 +99,6 @@ def run(
         [asn for _, asn in names],
         tiers,
         bin_width=bin_width,
-        workers=workers,
         engine=engine,
         batch=batch,
         stream=stream,

@@ -81,7 +81,6 @@ def leak_curves_for_origin(
     leakers: list[int],
     configurations: tuple[str, ...] = LEAK_CONFIGURATIONS,
     with_users: bool = False,
-    workers: int | str | None = None,
     engine: Optional[str] = None,
     cache: Optional[RoutingStateCache] = None,
 ) -> LeakCurves:
@@ -94,7 +93,6 @@ def leak_curves_for_origin(
             seed,
             [leaker for leaker in leakers if leaker != asn],
             peer_locked=locks,
-            workers=workers,
             engine=engine,
             cache=cache,
         )
@@ -126,7 +124,6 @@ def run(
     baseline_origins: int = 15,
     baseline_leakers: int = 15,
     include_facebook: bool = True,
-    workers: int | str | None = None,
     engine: Optional[str] = None,
     stream: bool | str | None = None,
 ) -> LeakResult:
@@ -143,8 +140,7 @@ def run(
     cache = RoutingStateCache(ctx.graph, engine=engine)
     curves = [
         leak_curves_for_origin(
-            ctx, name, asn, leakers, workers=workers, engine=engine,
-            cache=cache,
+            ctx, name, asn, leakers, engine=engine, cache=cache
         )
         for name, asn in origins
     ]
@@ -153,7 +149,6 @@ def run(
         random.Random(23),
         origins=baseline_origins,
         leakers_per_origin=baseline_leakers,
-        workers=workers,
         engine=engine,
         cache=cache,
         stream=stream,
@@ -164,14 +159,13 @@ def run(
 def run_fig9(
     ctx: ExperimentContext,
     leaks_per_config: int = 120,
-    workers: int | str | None = None,
     engine: Optional[str] = None,
 ) -> LeakCurves:
     """Fig. 9: Google's curves weighted by detoured users."""
     leakers = sample_leakers(ctx, leaks_per_config, seed=13)
     return leak_curves_for_origin(
         ctx, "Google", ctx.clouds["Google"], leakers, with_users=True,
-        workers=workers, engine=engine,
+        engine=engine,
     )
 
 
@@ -195,7 +189,6 @@ def run_fig10(
     ctx_2020: ExperimentContext,
     ctx_2015: ExperimentContext,
     leaks_per_config: int = 120,
-    workers: int | str | None = None,
     engine: Optional[str] = None,
 ) -> Fig10Result:
     curves = {}
@@ -204,7 +197,7 @@ def run_fig10(
         origin = ctx.clouds["Google"]
         result = leak_curves_for_origin(
             ctx, "Google", origin, leakers, configurations=("announce_all",),
-            workers=workers, engine=engine,
+            engine=engine,
         )
         curves[key] = result.curves["announce_all"]
     return Fig10Result(curve_2015=curves["2015"], curve_2020=curves["2020"])

@@ -2,15 +2,14 @@
 
 ``run_all`` reproduces each table and figure of the paper in sequence on
 one (or, for the longitudinal artifacts, two) scenario contexts.  The
-``python -m repro.experiments.runner [profile]`` entry point prints the
-whole report — this is what EXPERIMENTS.md is generated from.
+``python -m repro.experiments.runner [profile] [--csv DIR]`` entry point
+is ``repro experiments`` under another name; it prints the whole report
+— this is what EXPERIMENTS.md is generated from.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-import time
 
 from . import (
     appendixA_paths,
@@ -29,28 +28,25 @@ from . import (
     table1_top20,
     table3_rdns,
 )
-from .context import ExperimentContext, build_context
+from .context import ExperimentContext
 
 
 def run_all(
     ctx_2020: ExperimentContext,
     ctx_2015: ExperimentContext,
     leaks_per_config: int = 60,
-    workers: int | str | None = None,
     batch: int | None = None,
     stream: bool | str | None = None,
 ) -> dict[str, object]:
     """Run every experiment; returns {experiment id: result}.
 
-    ``workers`` parallelizes the propagation-heavy sweeps (reliance, route
-    leaks) across processes; ``batch`` selects the bit-parallel
-    multi-origin batch width for the all-AS sweeps (default: the
-    ``REPRO_BATCH`` environment variable).  ``stream`` folds the sweep
-    aggregations (Fig. 6, Fig. 13, hegemony, the leak baseline) view by
-    view at O(batch) memory instead of retaining eager state windows
-    (default: ``REPRO_STREAM``; ``auto`` streams at paper scale).  Every
-    experiment's output is identical for any worker count, batch width
-    or stream mode (see ``tests/test_parallel_engine.py`` /
+    ``batch`` selects the bit-parallel multi-origin batch width for the
+    all-AS sweeps (default: the ``REPRO_BATCH`` environment variable).
+    ``stream`` folds the sweep aggregations (Fig. 6, Fig. 13, hegemony,
+    the leak baseline) view by view at O(batch) memory instead of
+    retaining eager state windows (default: ``REPRO_STREAM``; ``auto``
+    streams at paper scale).  Every experiment's output is identical for
+    any batch width or stream mode (see
     ``tests/test_multiorigin_engine.py`` /
     ``tests/test_streaming_sweeps.py``).
     """
@@ -61,17 +57,16 @@ def run_all(
     results["fig3"] = fig3_cone_vs_hfr.run(ctx_2020)
     results["fig4"] = fig4_unreachable.run(ctx_2020)
     results["fig6_table2"] = fig6_table2_reliance.run(
-        ctx_2020, workers=workers, batch=batch, stream=stream
+        ctx_2020, batch=batch, stream=stream
     )
     results["fig7_8"] = fig7_10_leaks.run(
-        ctx_2020, leaks_per_config=leaks_per_config, workers=workers,
-        stream=stream,
+        ctx_2020, leaks_per_config=leaks_per_config, stream=stream
     )
     results["fig9"] = fig7_10_leaks.run_fig9(
-        ctx_2020, leaks_per_config=leaks_per_config, workers=workers
+        ctx_2020, leaks_per_config=leaks_per_config
     )
     results["fig10"] = fig7_10_leaks.run_fig10(
-        ctx_2020, ctx_2015, leaks_per_config=leaks_per_config, workers=workers
+        ctx_2020, ctx_2015, leaks_per_config=leaks_per_config
     )
     results["fig11"] = fig11_map.run(ctx_2020)
     results["fig12"] = fig12_coverage.run(ctx_2020)
@@ -80,10 +75,10 @@ def run_all(
     results["appendixB"] = appendixB_tier1.run(ctx_2020)
     results["appendixD"] = appendixD_geolocation.run(ctx_2020)
     results["fig13"] = fig13_pathlen.run(
-        ctx_2020, ctx_2015, workers=workers, batch=batch, stream=stream
+        ctx_2020, ctx_2015, batch=batch, stream=stream
     )
     results["metrics"] = metrics_comparison.run(
-        ctx_2020, workers=workers, batch=batch, stream=stream
+        ctx_2020, batch=batch, stream=stream
     )
     return results
 
@@ -111,63 +106,10 @@ def render_all(results: dict[str, object]) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from ..netgen import companion_2015
+    """``repro experiments`` with ``argv`` (default: the command line)."""
+    from ..cli import main as cli_main
 
-    argv = sys.argv[1:] if argv is None else argv
-    csv_dir = None
-    if "--csv" in argv:
-        index = argv.index("--csv")
-        csv_dir = argv[index + 1]
-        argv = argv[:index] + argv[index + 2 :]
-    workers: int | str | None = None
-    if "--workers" in argv:
-        index = argv.index("--workers")
-        raw = argv[index + 1]
-        workers = raw if raw == "auto" else int(raw)
-        argv = argv[:index] + argv[index + 2 :]
-    if "--engine" in argv:
-        # Exported rather than threaded through run_all: every propagate()
-        # call (parent and pool workers alike) reads REPRO_ENGINE at call
-        # time, so one env var switches the whole experiment run.
-        index = argv.index("--engine")
-        os.environ["REPRO_ENGINE"] = argv[index + 1]
-        argv = argv[:index] + argv[index + 2 :]
-    batch: int | None = None
-    if "--batch" in argv:
-        # Exported (like --engine) so sweeps that resolve the width at
-        # call time — cache prefetches, pool workers — see it too, and
-        # additionally threaded through run_all for the explicit knobs.
-        index = argv.index("--batch")
-        batch = int(argv[index + 1])
-        os.environ["REPRO_BATCH"] = argv[index + 1]
-        argv = argv[:index] + argv[index + 2 :]
-    stream: str | None = None
-    if "--stream" in argv:
-        # Exported (like --engine/--batch) so call-time resolvers —
-        # RoutingStateCache defaults, pool workers — see it too, and
-        # additionally threaded through run_all for the explicit knobs.
-        index = argv.index("--stream")
-        stream = argv[index + 1]
-        os.environ["REPRO_STREAM"] = stream
-        argv = argv[:index] + argv[index + 2 :]
-    profile_2020 = argv[0] if argv else "small"
-    profile_2015 = companion_2015(profile_2020)
-    started = time.time()
-    print(f"building {profile_2020} (2020-like) context...", flush=True)
-    ctx_2020 = build_context(profile_2020)
-    print(f"building {profile_2015} context...", flush=True)
-    ctx_2015 = build_context(profile_2015)
-    results = run_all(
-        ctx_2020, ctx_2015, workers=workers, batch=batch, stream=stream
-    )
-    print(render_all(results))
-    if csv_dir:
-        from .export import export_results
-
-        written = export_results(results, csv_dir)
-        print(f"\nwrote {len(written)} CSV files to {csv_dir}")
-    print(f"\ntotal wall time: {time.time() - started:.1f}s")
-    return 0
+    return cli_main(["experiments", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

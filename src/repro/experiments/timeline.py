@@ -29,9 +29,8 @@ installs the post-event states as the next event's baselines.  Seed
 events (hijack, leak) are transient: the baseline topology is untouched,
 so the cache is left alone.
 
-Per-origin work fans out through
-:func:`~repro.bgpsim.parallel.graph_map` (``workers``), and the initial
-baseline warm-up uses the cache's bit-parallel batched ``prefetch``.
+Per-origin work runs in-process, and the initial baseline warm-up uses
+the cache's bit-parallel batched ``prefetch``.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from ..bgpsim.events import (
     propagate_delta_event,
 )
 from ..bgpsim.metrics_kernel import reliance_kernel, routed_count_kernel
-from ..bgpsim.parallel import graph_map
 from ..bgpsim.routes import RoutingState
 from ..core.hegemony import TRIM, path_cross_fractions, trimmed_mean
 from ..topology.asgraph import ASGraph
@@ -131,20 +129,16 @@ def _metric_row(
     return reachable, reliance, hegemony
 
 
-def _event_task(
+def _event_row(
     graph: ASGraph,
     origin: int,
-    *,
-    applied=None,
-    baselines=None,
-    targets: tuple[int, ...] = (),
-    delta: bool = True,
-    threshold: Optional[float] = None,
+    baseline: RoutingState,
+    applied,
+    targets: tuple[int, ...],
+    delta: bool,
+    threshold: Optional[float],
 ):
-    """One origin's post-event outcome + metric row (module-level so
-    ``graph_map`` can ship it to worker processes; ``applied``/
-    ``baselines`` ride along as per-worker shared state)."""
-    baseline = baselines[origin]
+    """One origin's post-event outcome + metric row."""
     event = applied.event
     if (
         (isinstance(event, Hijack) and event.hijacker == origin)
@@ -174,8 +168,7 @@ def _event_task(
     if isinstance(event, (Hijack, RouteLeak)):
         captured = len(state.ases_with_origin(event.key))
     row = _metric_row(state, origin, targets)
-    # seed-event states are transient (never re-installed as baselines),
-    # so skip shipping them back over the worker pipe
+    # seed-event states are transient: never re-installed as baselines
     return (
         origin,
         state if applied.mutates_topology else None,
@@ -193,8 +186,8 @@ class ScenarioRunner:
     :class:`RoutingStateCache` over ``graph``; a caller-provided cache
     must hold compiled array states (the delta pass and seed-event
     merges require them).  ``engine`` picks delta vs full recompute (see
-    the module docstring), ``workers`` fans per-origin work across
-    processes, ``batch`` sets the bit-parallel prefetch width, and
+    the module docstring), ``batch`` sets the bit-parallel prefetch
+    width, and
     ``threshold`` caps the delta pass's withdrawal region
     (:func:`~repro.bgpsim.events.resolve_event_threshold`).
 
@@ -212,7 +205,6 @@ class ScenarioRunner:
         targets: Iterable[int] = (),
         cache: Optional[RoutingStateCache] = None,
         engine: Optional[str] = None,
-        workers: int | str | None = None,
         batch: Optional[int] = None,
         threshold: Optional[float] = None,
         shards=None,
@@ -223,7 +215,6 @@ class ScenarioRunner:
             raise ValueError("at least one origin required")
         self.targets = tuple(targets)
         self.engine = resolve_engine(engine)
-        self.workers = workers
         self.batch = batch
         self.threshold = threshold
         if cache is None:
@@ -238,9 +229,7 @@ class ScenarioRunner:
         events = tuple(events)
         delta = self.engine == "incremental"
         records: list[EventMetrics] = []
-        self.cache.prefetch(
-            self.origins, workers=self.workers, batch=self.batch
-        )
+        self.cache.prefetch(self.origins, batch=self.batch)
         for origin in self.origins:
             state = self.cache.state_for(origin)
             reachable, reliance, hegemony = _metric_row(
@@ -253,19 +242,18 @@ class ScenarioRunner:
             # baselines must predate the mutation — apply() changes graph
             baselines = {o: self.cache.state_for(o) for o in self.origins}
             applied = event.apply(self.graph)
-            rows = list(
-                graph_map(
+            rows = [
+                _event_row(
                     self.graph,
-                    _event_task,
-                    self.origins,
-                    workers=self.workers,
-                    applied=applied,
-                    baselines=baselines,
-                    targets=self.targets,
-                    delta=delta,
-                    threshold=self.threshold,
+                    origin,
+                    baselines[origin],
+                    applied,
+                    self.targets,
+                    delta,
+                    self.threshold,
                 )
-            )
+                for origin in self.origins
+            ]
             if applied.mutates_topology:
                 self.cache.invalidate()
             for origin, state, row, captured, visited_fraction, fallback in rows:

@@ -478,6 +478,10 @@ class _Batcher:
                 future.set_result(None)
 
 
+class _BadRequest(Exception):
+    """A request the HTTP layer cannot parse: answered 400, then closed."""
+
+
 class _HttpServer:
     """Minimal stdlib HTTP/1.1 front end over a :class:`QueryService`."""
 
@@ -494,20 +498,17 @@ class _HttpServer:
     ) -> None:
         try:
             while True:
-                request_line = await reader.readline()
+                request_line = await self._readline(reader)
                 if not request_line:
                     break
                 parts = request_line.decode("latin-1").split()
                 if len(parts) != 3:
-                    await self._respond(
-                        writer, 400, {"error": "malformed request line"}, False
-                    )
-                    break
+                    raise _BadRequest("malformed request line")
                 method, target, version = parts
                 keep_alive = version.upper() == "HTTP/1.1"
                 content_length = 0
                 while True:
-                    line = await reader.readline()
+                    line = await self._readline(reader)
                     if not line or line in (b"\r\n", b"\n"):
                         break
                     name, _, value = line.decode("latin-1").partition(":")
@@ -517,6 +518,8 @@ class _HttpServer:
                             content_length = int(value.strip() or 0)
                         except ValueError:
                             content_length = 0
+                        if content_length < 0:
+                            raise _BadRequest("negative Content-Length")
                     elif lowered == "connection":
                         keep_alive = value.strip().lower() != "close"
                 if content_length:
@@ -540,6 +543,8 @@ class _HttpServer:
                 await self._respond(writer, status, payload, keep_alive)
                 if not keep_alive:
                     break
+        except _BadRequest as exc:
+            await self._reject(reader, writer, str(exc))
         except (
             ConnectionResetError,
             BrokenPipeError,
@@ -556,6 +561,38 @@ class _HttpServer:
                 asyncio.CancelledError,  # loop shutdown beat the FIN
             ):
                 pass
+
+    @classmethod
+    async def _reject(
+        cls,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        message: str,
+    ) -> None:
+        """Answer 400 and half-close, then discard what the client is
+        still sending (for at most a second): closing a socket with
+        unread input resets it, which could drop the answer in flight."""
+        try:
+            await cls._respond(writer, 400, {"error": message}, False)
+            if writer.can_write_eof():
+                writer.write_eof()
+
+            async def _drain() -> None:
+                while await reader.read(1 << 16):
+                    pass
+
+            await asyncio.wait_for(_drain(), timeout=1.0)
+        except (ConnectionResetError, BrokenPipeError, asyncio.TimeoutError):
+            pass
+
+    @staticmethod
+    async def _readline(reader: asyncio.StreamReader) -> bytes:
+        """One request or header line; a line over the reader's limit
+        (64 KiB) is a bad request, not a stream error."""
+        try:
+            return await reader.readline()
+        except ValueError as exc:
+            raise _BadRequest("request or header line too long") from exc
 
     async def _answer(
         self, path: str, params: dict[str, str]

@@ -1,7 +1,13 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -125,22 +131,46 @@ class TestParser:
         for command in ("generate", "reach", "sweep", "leak", "infer"):
             assert command in out
 
-    def test_vector_and_shm_flags_set_knobs(self, generated, monkeypatch):
-        import os
-
+    def test_vector_flag_sets_knob(self, generated, monkeypatch):
         rel, _ = generated
-        # setenv records the original state, so the values main() writes
-        # are rolled back at teardown
+        # setenv records the original state, so the value main() writes
+        # is rolled back at teardown
         monkeypatch.setenv("REPRO_VECTOR", "auto")
-        monkeypatch.setenv("REPRO_SHM", "auto")
-        code = main(
-            ["--vector", "off", "--shm", "off", "reach", str(rel), "15169"]
-        )
+        code = main(["--vector", "off", "reach", str(rel), "15169"])
         assert code == 0
         assert os.environ["REPRO_VECTOR"] == "off"
-        assert os.environ["REPRO_SHM"] == "off"
 
     def test_invalid_vector_mode_rejected(self, generated):
         rel, _ = generated
         with pytest.raises(SystemExit):
             main(["--vector", "sideways", "reach", str(rel), "15169"])
+
+    def test_experiments_csv_requires_a_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiments", "tiny", "--csv"])
+        assert exc.value.code == 2
+        assert "--csv" in capsys.readouterr().err
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_exits_without_traceback(self, generated):
+        rel, _ = generated
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {
+            **os.environ,
+            "PYTHONPATH": src + (os.pathsep + path if path else ""),
+        }
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "reach", str(rel), "15169"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        # the reader goes away before the command writes its first line
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err

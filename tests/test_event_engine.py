@@ -408,15 +408,18 @@ class TestScenarioRunner:
                 assert a.hegemony == b.hegemony, (other, a, b)
 
     def test_rows_identical_across_workers(self):
+        # baselines warmed by the pool replay like in-process ones
         results = {}
         for workers in (None, WORKERS):
             graph, _ = build_mini()
+            cache = RoutingStateCache(graph, engine="compiled")
+            cache.prefetch([100, 301], workers=workers)
             runner = ScenarioRunner(
                 graph,
                 origins=[100, 301],
                 targets=[11, 12],
+                cache=cache,
                 engine="incremental",
-                workers=workers,
                 threshold=1.0,
             )
             results[workers] = runner.run(_mini_timeline())
@@ -517,7 +520,6 @@ class TestScenarioRunner:
                 origins,
                 targets=by_degree[:2],
                 engine=engine,
-                workers=WORKERS if engine == "incremental" else None,
                 threshold=1.0,
             )
             rows[engine] = runner.run(parse_events(spec))

@@ -22,14 +22,11 @@ three levels:
   than what actually changed).
 
 The fallback guards (peer-locked leakers, retracting configurations)
-are exercised explicitly, as are the shared-baseline cache and the
-parallel sweep.  Set ``REPRO_TEST_WORKERS`` to change the parallel
-worker count (CI runs the harness at 2).
+are exercised explicitly, as is the shared-baseline cache.
 """
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -64,7 +61,6 @@ from repro.core.leaks import (
 )
 from repro.topology.tiers import infer_tiers
 
-WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "4"))
 
 #: (profile, scenario seed) — ≥3 seeds × 2 sizes, per the acceptance bar.
 SCENARIOS = [
@@ -423,16 +419,6 @@ class TestSweepEquivalence:
             outcome is None or outcome.visited_fraction is None
             for outcome in full
         )
-
-    def test_parallel_incremental_matches_serial(self):
-        graph = netgen_graph("tiny", seed=7)
-        origin = sample_origins(graph, 1, seed=2)[0]
-        leakers = [a for a in sample_origins(graph, 8, seed=3) if a != origin]
-        serial = simulate_leaks(graph, origin, leakers, engine="incremental")
-        parallel = simulate_leaks(
-            graph, origin, leakers, engine="incremental", workers=WORKERS
-        )
-        assert parallel == serial
 
     def test_locked_leaker_falls_back_to_full_simulation(self):
         graph = netgen_graph("tiny", seed=20200901)

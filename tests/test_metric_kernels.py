@@ -32,6 +32,7 @@ from .conftest import netgen_graph, sample_origins
 from repro.bgpsim import (
     CompiledRoutingState,
     DeltaRoutingState,
+    RoutingStateCache,
     Seed,
     cross_fractions_kernel,
     dag_of,
@@ -41,6 +42,7 @@ from repro.bgpsim import (
     propagate,
     propagate_compiled,
     propagate_delta,
+    propagate_many,
     reliance_kernel,
     routed_count_kernel,
 )
@@ -51,6 +53,7 @@ from repro.core.metrics import reachability_from_state
 from repro.core.pathlen import (
     path_length_distribution,
     path_length_histogram,
+    path_length_weights_from_state,
 )
 from repro.core.reliance import (
     _path_counts_routes,
@@ -306,9 +309,14 @@ class TestSweepKnobs:
         graph = netgen_graph("tiny", seed=20200901)
         origins = sample_origins(graph, 4, seed=2)
         serial = path_length_distribution(graph, origins)
-        parallel = path_length_distribution(
-            graph, origins, workers=WORKERS
-        )
+        parallel = [
+            path_length_weights_from_state(state)
+            for state in propagate_many(
+                graph,
+                [Seed(asn=origin, key="origin") for origin in origins],
+                workers=WORKERS,
+            )
+        ]
         assert serial == parallel
 
     def test_global_hegemony_engine_and_worker_invariant(self):
@@ -318,9 +326,12 @@ class TestSweepKnobs:
         base = global_hegemony(graph, targets, engine="compiled", **kwargs)
         kwargs = dict(sample=6, rng=random.Random(5))
         ref = global_hegemony(graph, targets, engine="reference", **kwargs)
+        # the streaming sweep serves origins from a cache the pool warmed
+        warm = RoutingStateCache(graph)
+        warm.prefetch(sorted(graph.nodes()), workers=WORKERS)
         kwargs = dict(sample=6, rng=random.Random(5))
         parallel = global_hegemony(
-            graph, targets, workers=WORKERS, **kwargs
+            graph, targets, stream=True, cache=warm, **kwargs
         )
         assert base == ref == parallel
 

@@ -4,10 +4,10 @@ The parallel sweep in ``repro.bgpsim.parallel`` is only safe to use if it
 is *bit-for-bit* equivalent to the serial engine.  This module proves it
 on randomized synthetic-Internet scenarios across several seeds and two
 sizes, checks the valley-free invariant on every emitted path, exercises
-multi-seed / excluded / peer-locked configurations, and asserts that the
-experiment-level consumers produce identical outputs at ``workers=1`` and
-``workers=N``.  Worker-failure behaviour (original exception surfaces,
-pool shuts down cleanly) is covered at the end.
+multi-seed / excluded / peer-locked configurations, and asserts that
+states computed by the pool serve the experiment-level consumers exactly
+like states computed in-process.  Worker-failure behaviour (original
+exception surfaces, pool shuts down cleanly) is covered at the end.
 
 Set ``REPRO_TEST_WORKERS`` to change the parallel worker count (CI runs
 the harness at 2).
@@ -164,48 +164,39 @@ class TestDifferentialConfigurations:
 
 
 class TestConsumersIdentical:
-    """workers=1 and workers=N produce identical experiment outputs."""
-
-    def test_resilience_curve(self, mini):
-        from repro.core import resilience_curve
-
-        graph, tiers = mini
-        leakers = sorted(graph.nodes())
-        for configuration in ("announce_all", "announce_all_t1_lock"):
-            serial = resilience_curve(
-                graph, 100, tiers, configuration, leakers, workers=1
-            )
-            parallel = resilience_curve(
-                graph, 100, tiers, configuration, leakers, workers=WORKERS
-            )
-            assert serial == parallel
+    """Pool-computed states feed the consumers like in-process ones."""
 
     def test_average_resilience_curve(self, mini_graph):
         from repro.core import average_resilience_curve
 
         serial = average_resilience_curve(
             mini_graph, random.Random(23), origins=5, leakers_per_origin=4,
-            workers=1,
+            engine="incremental",
         )
-        parallel = average_resilience_curve(
+        warm = RoutingStateCache(mini_graph, engine="incremental")
+        warm.prefetch(sorted(mini_graph.nodes()), workers=WORKERS)
+        pooled = average_resilience_curve(
             mini_graph, random.Random(23), origins=5, leakers_per_origin=4,
-            workers=WORKERS,
+            engine="incremental", cache=warm,
         )
-        assert serial == parallel
+        assert serial == pooled
 
     def test_reliance_sweep(self, mini):
-        from repro.core import hierarchy_free_reliance, hierarchy_free_reliance_sweep
+        from repro.core import hierarchy_free_reliance_sweep, reliance_from_state
 
         graph, tiers = mini
         origins = [100, 201, 301]
-        serial = [
-            hierarchy_free_reliance(graph, origin, tiers)
+        pooled = [
+            reliance_from_state(state)
             for origin in origins
+            for state in propagate_many(
+                graph,
+                [Seed(asn=origin, key="origin")],
+                workers=WORKERS,
+                excluded=(graph.providers(origin) | tiers.hierarchy) - {origin},
+            )
         ]
-        parallel = hierarchy_free_reliance_sweep(
-            graph, origins, tiers, workers=WORKERS
-        )
-        assert serial == parallel
+        assert hierarchy_free_reliance_sweep(graph, origins, tiers) == pooled
 
     def test_collector_dump(self):
         from repro.collectors import collect_ribs, dumps_mrt
@@ -216,11 +207,13 @@ class TestConsumersIdentical:
             scenario.graph, scenario.monitors, scenario.prefixes,
             rng=random.Random(3),
         )
-        parallel = collect_ribs(
+        warm = RoutingStateCache(scenario.graph)
+        warm.prefetch(sorted(scenario.prefixes), workers=WORKERS)
+        pooled = collect_ribs(
             scenario.graph, scenario.monitors, scenario.prefixes,
-            rng=random.Random(3), workers=WORKERS,
+            rng=random.Random(3), cache=warm,
         )
-        assert dumps_mrt(serial) == dumps_mrt(parallel)
+        assert dumps_mrt(serial) == dumps_mrt(pooled)
 
     def test_traceroute_campaign(self):
         from repro.netgen import build_scenario, profile
@@ -228,10 +221,9 @@ class TestConsumersIdentical:
 
         scenario = build_scenario(profile("tiny", seed=7))
         serial = TracerouteCampaign(scenario, seed=5).run_all()
-        parallel = TracerouteCampaign(
-            scenario, seed=5, workers=WORKERS
-        ).run_all()
-        assert serial == parallel
+        pooled = TracerouteCampaign(scenario, seed=5)
+        pooled._states.prefetch(sorted(scenario.graph), workers=WORKERS)
+        assert serial == pooled.run_all()
 
     def test_cache_prefetch_matches_serial_compute(self):
         graph = netgen_graph("tiny", seed=9)

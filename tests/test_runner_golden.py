@@ -155,13 +155,3 @@ class TestFig7Golden:
         assert result.average_mean == pytest.approx(
             GOLDEN_AVG_RESILIENCE_MEAN, abs=5e-7
         )
-
-    def test_workers_do_not_change_results(self, ctx, result):
-        parallel = fig7_10_leaks.run(
-            ctx, leaks_per_config=LEAKS_PER_CONFIG, workers=2, **BASELINE
-        )
-        assert parallel.average_resilience == result.average_resilience
-        for serial_origin, parallel_origin in zip(
-            result.origins, parallel.origins
-        ):
-            assert serial_origin.curves == parallel_origin.curves

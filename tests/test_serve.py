@@ -10,6 +10,7 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -173,6 +174,38 @@ def test_http_round_trip_and_keep_alive(tiny):
             assert "not in graph" in json.loads(exc.read())["error"]
         else:  # pragma: no cover
             pytest.fail("expected a 404")
+
+
+@pytest.mark.parametrize(
+    "request_bytes",
+    [
+        b"GET /health HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        b"GET /" + b"a" * (1 << 17) + b" HTTP/1.1\r\n\r\n",
+        b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * (1 << 17) + b"\r\n\r\n",
+        b"NONSENSE\r\n\r\n",
+    ],
+    ids=[
+        "negative-content-length",
+        "long-request-line",
+        "long-header-line",
+        "malformed-request-line",
+    ],
+)
+def test_bad_request_gets_400_and_close(tiny, request_bytes):
+    graph, _ = tiny
+    with start_server_thread(QueryService(graph)) as handle:
+        with socket.create_connection(
+            (handle.host, handle.port), timeout=10
+        ) as sock:
+            sock.sendall(request_bytes)
+            sock.shutdown(socket.SHUT_WR)
+            response = b""
+            while chunk := sock.recv(1 << 16):
+                response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 "), head[:80]
+    assert b"Connection: close" in head
+    assert json.loads(body)["error"]
 
 
 def test_concurrent_requests_batch_cold_origins(tiny):

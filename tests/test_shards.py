@@ -22,6 +22,7 @@ from repro.bgpsim import (
     RoutingStateCache,
     Seed,
     graph_digest,
+    precompute_metric_shards,
     precompute_shards,
     propagate_batch,
     propagate_compiled,
@@ -109,6 +110,34 @@ def test_full_small_profile_differential(tmp_path):
             assert_states_equal(
                 store.state_for(origin), live, f"origin={origin}"
             )
+
+
+def test_pool_corpus_is_byte_identical_to_serial(tmp_path):
+    """``repro precompute --workers 2`` writes the same routing and
+    metric shard files, byte for byte, as ``--workers 1``; only the
+    manifest (which stamps the worker count) differs."""
+    graph = netgen_graph("tiny")
+    corpora = {}
+    for workers in (1, 2):
+        root = tmp_path / f"workers-{workers}"
+        # narrow batches and shards: several pool tasks, several files
+        target = precompute_shards(
+            graph, root, workers=workers, batch=16, shard_size=32
+        )
+        precompute_metric_shards(
+            graph, root, workers=workers, batch=16, shard_size=32
+        )
+        corpora[workers] = {
+            path.name: path.read_bytes()
+            for path in sorted(target.iterdir())
+            if path.name != MANIFEST_NAME
+        }
+    names = sorted(corpora[1])
+    assert sum(name.endswith(".shard") for name in names) > 1
+    assert any(name.endswith(".mshard") for name in names)
+    assert names == sorted(corpora[2])
+    for name in names:
+        assert corpora[1][name] == corpora[2][name], name
 
 
 def test_precompute_is_idempotent_and_sharded(tmp_path):
